@@ -1,7 +1,9 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <numeric>
 
+#include "common/sort.h"
 #include "common/thread_pool.h"
 #include "core/pairs.h"
 
@@ -148,32 +150,42 @@ nn::Matrix EncoderDecoder::EncodeBatch(
     const std::vector<traj::TokenSeq>& seqs) const {
   const size_t n = seqs.size();
   nn::Matrix out(n, hidden());
-  if (n == 0) return out;
 
-  size_t max_len = 0;
-  for (const traj::TokenSeq& s : seqs) max_len = std::max(max_len, s.size());
-  if (max_len == 0) return out;
+  // Longest first (ties by input row), so the rows still running at step t
+  // are always a prefix: step t runs over exactly the rows longer than t.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  DeterministicSort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (seqs[a].size() != seqs[b].size()) {
+      return seqs[a].size() > seqs[b].size();
+    }
+    return a < b;
+  });
+  size_t active = 0;
+  while (active < n && !seqs[order[active]].empty()) ++active;
+  if (active == 0) return out;  // Empty sequences keep the zero vector.
+  const size_t rows = active;
 
-  std::vector<std::vector<geo::Token>> steps(
-      max_len, std::vector<geo::Token>(n, geo::kPadToken));
-  std::vector<std::vector<float>> masks(max_len,
-                                        std::vector<float>(n, 0.0f));
-  for (size_t b = 0; b < n; ++b) {
-    for (size_t t = 0; t < seqs[b].size(); ++t) {
-      steps[t][b] = seqs[b][t];
-      masks[t][b] = 1.0f;
+  std::vector<nn::Matrix> hs(encoder_.layers(), nn::Matrix(rows, hidden()));
+  nn::GruStepScratch scratch;
+  std::vector<geo::Token> ids;
+  nn::Matrix x;
+  for (size_t t = 0; t < seqs[order[0]].size(); ++t) {
+    while (seqs[order[active - 1]].size() <= t) --active;
+    ids.resize(active);
+    for (size_t i = 0; i < active; ++i) ids[i] = seqs[order[i]][t];
+    EmbedStep(ids, &x);
+    nn::ConstMatrixView input = x;
+    for (size_t l = 0; l < hs.size(); ++l) {
+      const nn::MatrixView state = nn::RowBlock(&hs[l], 0, active);
+      encoder_.layer(l).Step(input, state, &scratch);
+      input = state;
     }
   }
 
-  std::vector<nn::Matrix> xs(max_len);
-  for (size_t t = 0; t < max_len; ++t) EmbedStep(steps[t], &xs[t]);
-  nn::Gru::ForwardResult result;
-  encoder_.Forward(xs, nullptr, masks, &result);
-
-  const nn::Matrix& top = result.final_state.h.back();
-  for (size_t b = 0; b < n; ++b) {
-    if (seqs[b].empty()) continue;  // Leave the zero vector.
-    std::copy(top.Row(b), top.Row(b) + hidden(), out.Row(b));
+  const nn::Matrix& top = hs.back();
+  for (size_t i = 0; i < rows; ++i) {
+    std::copy(top.Row(i), top.Row(i) + hidden(), out.Row(order[i]));
   }
   return out;
 }
@@ -183,9 +195,11 @@ QuantizedEncoder::QuantizedEncoder(const EncoderDecoder& model)
 
 nn::Matrix QuantizedEncoder::EncodeBatch(
     const std::vector<traj::TokenSeq>& seqs) const {
-  // Mirrors EncoderDecoder::EncodeBatch: pad to step-major token steps with
-  // masks, embed each step (fp32 table lookups — exact), then run the
-  // quantized GRU stack and copy out the top layer's final states.
+  // The padded shape: step-major token steps padded to the longest sequence
+  // with masks, each step embedded (fp32 table lookups — exact), then the
+  // quantized GRU stack over every row, copying out the top layer's final
+  // states. Rows stay independent: activations are quantized per row, and a
+  // masked step carries a row's state through unchanged.
   const size_t n = seqs.size();
   nn::Matrix out(n, hidden());
   if (n == 0) return out;

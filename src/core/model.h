@@ -61,7 +61,10 @@ class EncoderDecoder {
 
   /// Encodes token sequences into representation vectors: returns an
   /// N x hidden matrix whose row i is v(seqs[i]) — the encoder top layer's
-  /// final hidden state. Empty sequences yield the zero vector.
+  /// final hidden state. Empty sequences yield the zero vector. Runs packed:
+  /// rows are ordered longest first and step t runs only over the rows
+  /// longer than t, with no padding, masks or BPTT caches. Row i depends
+  /// only on seqs[i], bit for bit (nn/gru.h).
   nn::Matrix EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const;
 
   OutputProjection& projection() { return proj_; }
@@ -103,8 +106,10 @@ class QuantizedEncoder {
  public:
   explicit QuantizedEncoder(const EncoderDecoder& model);
 
-  /// int8 analogue of EncoderDecoder::EncodeBatch: same padding, masks, and
-  /// zero-vector-for-empty-sequence behavior; the GRU math runs int8.
+  /// int8 analogue of EncoderDecoder::EncodeBatch with the same
+  /// zero-vector-for-empty-sequence behavior, but over the padded, masked
+  /// batch shape (every row runs to the longest length); the GRU math runs
+  /// int8. Row i depends only on seqs[i].
   nn::Matrix EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const;
 
   size_t hidden() const { return gru_.hidden(); }

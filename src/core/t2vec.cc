@@ -155,9 +155,10 @@ traj::TokenSeq T2Vec::TokenizeForEncoder(const traj::Trajectory& trip) const {
 }
 
 nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
-  // Encode in slices to bound the padded batch size. Slices are independent
-  // (the forward pass is const and each slice writes a disjoint row range of
-  // `out`), so they parallelize with results bit-identical to a serial run.
+  // Encode in slices to bound each pass's state buffers. Slices are
+  // independent (the forward pass is const and each slice writes a disjoint
+  // row range of `out`), so they parallelize with results bit-identical to a
+  // serial run.
   constexpr size_t kSlice = 256;
   nn::Matrix out(trips.size(), model_->hidden());
   const size_t num_slices = (trips.size() + kSlice - 1) / kSlice;

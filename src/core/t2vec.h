@@ -55,17 +55,18 @@ class T2Vec {
 
   /// Tokenizes a trajectory exactly the way the encoder consumes it
   /// (reversed when config().reverse_source). Tokenize once, then batch
-  /// with EncodeTokenized — the serving layer buckets requests by token
-  /// length this way without re-tokenizing.
+  /// with EncodeTokenized — the serving layer tokenizes each request on
+  /// its caller's thread this way, so its dispatcher never re-tokenizes.
   traj::TokenSeq EncoderTokens(const traj::Trajectory& trip) const {
     return TokenizeForEncoder(trip);
   }
 
-  /// Batch-encodes pre-tokenized sequences (one padded forward pass):
-  /// returns an N x hidden matrix whose row i is the representation of
-  /// seqs[i]. Row i depends only on seqs[i] — per-row results are
-  /// bit-identical across batch compositions of equal-length sequences,
-  /// which is the contract the serving layer's micro-batching relies on.
+  /// Batch-encodes pre-tokenized sequences (one packed forward pass, each
+  /// row over only its own tokens): returns an N x hidden matrix whose row
+  /// i is the representation of seqs[i]. Row i depends only on seqs[i] —
+  /// per-row results are bit-identical across batch compositions of any
+  /// lengths, which is the contract the serving layer's micro-batching
+  /// relies on.
   nn::Matrix EncodeTokenized(const std::vector<traj::TokenSeq>& seqs) const;
 
   /// int8 variants of Encode / EncodeTokenized for serving: roughly the

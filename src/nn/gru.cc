@@ -82,6 +82,75 @@ void GruLayer::RefreshPacks() const {
   pc.version.store(version, std::memory_order_release);
 }
 
+void GruLayer::CellStep(ConstMatrixView x, ConstMatrixView h_prev,
+                        bool fused, Matrix* pre, Matrix* z, Matrix* r,
+                        Matrix* rh, Matrix* c, MatrixView h_out) const {
+  const size_t rows = h_prev.rows;
+  const size_t dim = hidden();
+  T2VEC_CHECK(x.rows == rows && x.cols == in_dim() && h_prev.cols == dim);
+  T2VEC_CHECK(h_out.rows == rows && h_out.cols == dim);
+  z->Resize(rows, dim);
+  r->Resize(rows, dim);
+  rh->Resize(rows, dim);
+  c->Resize(rows, dim);
+
+  if (fused) {
+    // [pre_c | pre_z | pre_r] = x [Wc|Wz|Wr]; then the z/r blocks get the
+    // hidden-state term in one GEMM over [Uz|Ur]. Identical per-element
+    // accumulation chains as the per-gate calls below (nn/matrix.h).
+    const PackCache& pc = *packs_;
+    GemmV(x, pc.w_pack, *pre);
+    GemmV(h_prev, pc.u_pack, ColBlock(pre, dim, 2 * dim), 1.0f, 1.0f);
+    AddRowBroadcastV(ColBlock(pre, dim, dim), bz_.value);
+    SigmoidV(ColBlock(*pre, dim, dim), *z);
+    AddRowBroadcastV(ColBlock(pre, 2 * dim, dim), br_.value);
+    SigmoidV(ColBlock(*pre, 2 * dim, dim), *r);
+  } else {
+    // z = sigmoid(x Wz + h_prev Uz + bz)
+    GemmV(x, wz_.value, *pre);
+    GemmV(h_prev, uz_.value, *pre, 1.0f, 1.0f);
+    AddRowBroadcastV(*pre, bz_.value);
+    SigmoidV(*pre, *z);
+
+    // r = sigmoid(x Wr + h_prev Ur + br)
+    GemmV(x, wr_.value, *pre);
+    GemmV(h_prev, ur_.value, *pre, 1.0f, 1.0f);
+    AddRowBroadcastV(*pre, br_.value);
+    SigmoidV(*pre, *r);
+  }
+
+  // c = tanh(x Wc + (r ⊙ h_prev) Uc + bc)
+  for (size_t b = 0; b < rows; ++b) {
+    const float* __restrict rv = r->Row(b);
+    const float* __restrict hp = h_prev.Row(b);
+    float* __restrict o = rh->Row(b);
+    for (size_t j = 0; j < dim; ++j) o[j] = rv[j] * hp[j];
+  }
+  if (fused) {
+    GemmV(*rh, uc_.value, ColBlock(pre, 0, dim), 1.0f, 1.0f);
+    AddRowBroadcastV(ColBlock(pre, 0, dim), bc_.value);
+    TanhV(ColBlock(*pre, 0, dim), *c);
+  } else {
+    GemmV(x, wc_.value, *pre);
+    GemmV(*rh, uc_.value, *pre, 1.0f, 1.0f);
+    AddRowBroadcastV(*pre, bc_.value);
+    TanhV(*pre, *c);
+  }
+
+  // h_out = (1 - z) ⊙ h_prev + z ⊙ c. This is the one copy of the update:
+  // GCC contracts it into FMAs unless told otherwise (-ffp-contract=fast is
+  // its C++ default), and two copies could contract differently.
+  for (size_t b = 0; b < rows; ++b) {
+    const float* __restrict zv = z->Row(b);
+    const float* __restrict cv = c->Row(b);
+    const float* __restrict hp = h_prev.Row(b);
+    float* __restrict hn = h_out.Row(b);
+    for (size_t j = 0; j < dim; ++j) {
+      hn[j] = (1.0f - zv[j]) * hp[j] + zv[j] * cv[j];
+    }
+  }
+}
+
 void GruLayer::Forward(const std::vector<Matrix>& xs, const Matrix& h0,
                        const std::vector<std::vector<float>>& masks,
                        GruCache* cache) const {
@@ -99,78 +168,33 @@ void GruLayer::Forward(const std::vector<Matrix>& xs, const Matrix& h0,
 
   const bool fused = FusedKernelsEnabled();
   if (fused) RefreshPacks();
-  const PackCache& pc = *packs_;
 
-  Matrix pre3;                // Fused: all three pre-activations, B x 3H.
-  Matrix pre(batch, dim);     // Unfused: reused per-gate buffer.
-  Matrix h_raw(batch, dim);   // Pre-mask new hidden.
-  if (fused) pre3.Resize(batch, 3 * dim);
-
+  Matrix pre(batch, fused ? 3 * dim : dim);
+  Matrix h_raw(batch, dim);  // Pre-mask new hidden.
   for (size_t t = 0; t < steps; ++t) {
-    const Matrix& x = xs[t];
     const Matrix& h_prev = (t == 0) ? h0 : cache->h[t - 1];
-    T2VEC_CHECK(x.rows() == batch && x.cols() == in_dim());
-
-    if (fused) {
-      // [pre_c | pre_z | pre_r] = x [Wc|Wz|Wr]; then the z/r blocks get the
-      // hidden-state term in one GEMM over [Uz|Ur]. Identical per-element
-      // accumulation chains as the per-gate calls below (nn/matrix.h).
-      GemmV(x, pc.w_pack, pre3);
-      GemmV(h_prev, pc.u_pack, ColBlock(&pre3, dim, 2 * dim), 1.0f, 1.0f);
-
-      AddRowBroadcastV(ColBlock(&pre3, dim, dim), bz_.value);
-      cache->z[t].Resize(batch, dim);
-      SigmoidV(ColBlock(pre3, dim, dim), cache->z[t]);
-
-      AddRowBroadcastV(ColBlock(&pre3, 2 * dim, dim), br_.value);
-      cache->r[t].Resize(batch, dim);
-      SigmoidV(ColBlock(pre3, 2 * dim, dim), cache->r[t]);
-
-      Hadamard(cache->r[t], h_prev, &cache->rh[t]);
-      GemmV(cache->rh[t], uc_.value, ColBlock(&pre3, 0, dim), 1.0f, 1.0f);
-      AddRowBroadcastV(ColBlock(&pre3, 0, dim), bc_.value);
-      cache->c[t].Resize(batch, dim);
-      TanhV(ColBlock(pre3, 0, dim), cache->c[t]);
-    } else {
-      // z = sigmoid(x Wz + h_prev Uz + bz)
-      Gemm(x, wz_.value, &pre);
-      Gemm(h_prev, uz_.value, &pre, 1.0f, 1.0f);
-      AddRowBroadcast(&pre, bz_.value);
-      Sigmoid(pre, &cache->z[t]);
-
-      // r = sigmoid(x Wr + h_prev Ur + br)
-      Gemm(x, wr_.value, &pre);
-      Gemm(h_prev, ur_.value, &pre, 1.0f, 1.0f);
-      AddRowBroadcast(&pre, br_.value);
-      Sigmoid(pre, &cache->r[t]);
-
-      // c = tanh(x Wc + (r ⊙ h_prev) Uc + bc)
-      Hadamard(cache->r[t], h_prev, &cache->rh[t]);
-      Gemm(x, wc_.value, &pre);
-      Gemm(cache->rh[t], uc_.value, &pre, 1.0f, 1.0f);
-      AddRowBroadcast(&pre, bc_.value);
-      Tanh(pre, &cache->c[t]);
-    }
-
-    // h_raw = (1 - z) ⊙ h_prev + z ⊙ c
-    const Matrix& z = cache->z[t];
-    const Matrix& c = cache->c[t];
-    h_raw.Resize(batch, dim);
-    for (size_t b = 0; b < batch; ++b) {
-      const float* __restrict zv = z.Row(b);
-      const float* __restrict cv = c.Row(b);
-      const float* __restrict hp = h_prev.Row(b);
-      float* __restrict hr = h_raw.Row(b);
-      for (size_t j = 0; j < dim; ++j) {
-        hr[j] = (1.0f - zv[j]) * hp[j] + zv[j] * cv[j];
-      }
-    }
-
+    T2VEC_CHECK(xs[t].rows() == batch);
+    CellStep(xs[t], h_prev, fused, &pre, &cache->z[t], &cache->r[t],
+             &cache->rh[t], &cache->c[t], h_raw);
     if (masks.empty()) {
       cache->h[t] = h_raw;
     } else {
       ApplyMask(masks[t], h_raw, h_prev, &cache->h[t]);
     }
+  }
+}
+
+void GruLayer::Step(ConstMatrixView x, MatrixView h,
+                    GruStepScratch* scratch) const {
+  const size_t rows = h.rows;
+  const bool fused = FusedKernelsEnabled();
+  if (fused) RefreshPacks();
+  scratch->pre.Resize(rows, fused ? 3 * hidden() : hidden());
+  scratch->h.Resize(rows, hidden());
+  CellStep(x, h, fused, &scratch->pre, &scratch->z, &scratch->r,
+           &scratch->rh, &scratch->c, scratch->h);
+  for (size_t b = 0; b < rows; ++b) {
+    std::memcpy(h.Row(b), scratch->h.Row(b), h.cols * sizeof(float));
   }
 }
 

@@ -16,10 +16,17 @@
 /// Conventions:
 ///  - Sequences are batch-major per step: the input is a vector of T matrices,
 ///    each B x in_dim (step t holds the t-th token of every sequence).
-///  - Variable lengths are handled with per-step masks (B floats, 1 = active):
-///    at a masked-out step the hidden state is carried through unchanged, so
-///    the state at the last step is each sequence's state at its own final
-///    valid token. This mirrors packed sequences in mainstream frameworks.
+///  - Training handles variable lengths with per-step masks (B floats,
+///    1 = active): at a masked-out step the hidden state is carried through
+///    unchanged, so the state at the last step is each sequence's state at
+///    its own final valid token, and BPTT reads the per-step caches.
+///  - Inference needs neither: GruLayer::Step advances a block of rows by one
+///    token with no masks and no caches, so a caller that orders rows
+///    longest first runs step t over only the prefix still active (the
+///    packed-sequence idiom of mainstream frameworks). Both paths run the
+///    same cell-step body, and every kernel keeps each row's chain apart
+///    from the others, so a row's words do not depend on which rows share
+///    its batch or on whether it was padded.
 ///  - Gate equations (Cho et al. 2014):
 ///        z = σ(x·Wz + h⁻·Uz + bz)          update gate
 ///        r = σ(x·Wr + h⁻·Ur + br)          reset gate
@@ -41,6 +48,13 @@ struct GruCache {
   size_t steps() const { return h.size(); }
 };
 
+/// Reusable buffers for GruLayer::Step. One scratch serves every layer of a
+/// stack with one hidden size; Step resizes them to its row count.
+struct GruStepScratch {
+  Matrix pre;             ///< [c | z | r] pre-activations, rows x 3H
+  Matrix z, r, rh, c, h;  ///< gates, r ⊙ h⁻, candidate, new state; rows x H
+};
+
 /// One GRU layer operating on a full batched sequence.
 class GruLayer {
  public:
@@ -53,6 +67,11 @@ class GruLayer {
   void Forward(const std::vector<Matrix>& xs, const Matrix& h0,
                const std::vector<std::vector<float>>& masks,
                GruCache* cache) const;
+
+  /// Inference step: advances the hidden state `h` (rows x H) in place by one
+  /// input `x` (rows x in_dim), without masks or caches. Each row's result
+  /// is bit-identical to that row's state in Forward at the same step.
+  void Step(ConstMatrixView x, MatrixView h, GruStepScratch* scratch) const;
 
   /// Backward through time. `d_hs` is the gradient w.r.t. each step's output
   /// (nullptr = zeros); `d_h_last` is an extra gradient flowing into the
@@ -113,6 +132,15 @@ class GruLayer {
 
   /// Rebuilds the packs if any parameter changed since they were built.
   void RefreshPacks() const;
+
+  /// The cell step shared by Forward and Step, over x.rows rows: fills the
+  /// gates `z`, `r`, `rh` = r ⊙ h⁻ and `c` (resized to rows x H) and writes
+  /// h_out = (1 − z) ⊙ h⁻ + z ⊙ c. `pre` is the pre-activation buffer
+  /// (rows x 3H fused, rows x H unfused); the packs must be current when
+  /// `fused`. `h_out` must not alias `h_prev`.
+  void CellStep(ConstMatrixView x, ConstMatrixView h_prev, bool fused,
+                Matrix* pre, Matrix* z, Matrix* r, Matrix* rh, Matrix* c,
+                MatrixView h_out) const;
 
   Parameter wz_, wr_, wc_;  // in_dim x H
   Parameter uz_, ur_, uc_;  // H x H

@@ -90,20 +90,12 @@ void EmbeddingService::Shutdown() {
 }
 
 std::vector<EmbeddingService::Request> EmbeddingService::TakeBatchLocked() {
+  const size_t take = std::min(options_.max_batch, queue_.size());
   std::vector<Request> batch;
-  if (queue_.empty()) return batch;
-  const size_t want = queue_.front().tokens.size();
-  batch.reserve(std::min(options_.max_batch, queue_.size()));
-  // One pass, oldest first: take up to max_batch requests whose token
-  // length matches the head's; every other request keeps its place.
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < options_.max_batch;) {
-    if (it->tokens.size() == want) {
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
+  batch.reserve(take);
+  for (size_t i = 0; i < take; ++i) {
+    batch.push_back(std::move(queue_.front()));
+    queue_.pop_front();
   }
   return batch;
 }

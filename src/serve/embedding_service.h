@@ -18,14 +18,16 @@
 /// Online embedding service: the paper's encode-once/query-many deployment
 /// shape (Sec. IV-D). A long-lived encoder is fronted by a bounded request
 /// queue; a dispatcher thread coalesces concurrent Submit() calls into
-/// length-bucketed micro-batches and flushes each bucket through the
-/// encoder's padded batch forward on the deterministic thread pool.
+/// micro-batches of the oldest requests, whatever their lengths, and flushes
+/// each through the encoder's batch pass on the deterministic thread pool.
 ///
-/// Determinism contract (DESIGN.md "Serving"): a micro-batch only ever
-/// contains token sequences of one length, and the encoder's per-row
-/// floating-point chains never cross rows, so the vector returned for a
-/// request is bit-identical to `T2Vec::EncodeOne` on the same trajectory —
-/// at any thread count, any arrival order, and any batch composition.
+/// Determinism contract (DESIGN.md "Serving"): the encoder's per-row
+/// floating-point chains never cross rows — the fp32 pass runs each row over
+/// only its own tokens (core/model.h), and the int8 pass quantizes per row
+/// and carries a finished row's state through its padded steps unchanged —
+/// so the vector returned for a request is bit-identical to
+/// `T2Vec::EncodeOne` on the same trajectory, at any thread count, any
+/// arrival order, and any batch composition.
 ///
 /// Overload and cancellation are explicit:
 ///  - a full queue rejects new work immediately with kUnavailable,
@@ -106,8 +108,7 @@ class EmbeddingService {
                                            Clock::time_point deadline,
                                            bool has_deadline);
   void DispatchLoop();
-  /// Pops the oldest request plus up to max_batch - 1 more with the same
-  /// token length (FIFO among equals).
+  /// Pops the oldest max_batch requests (all of them when fewer wait).
   std::vector<Request> TakeBatchLocked() REQUIRES(mu_);
   /// Encodes `batch` and fulfills its promises (no locks held).
   void Flush(std::vector<Request> batch) EXCLUDES(mu_);

@@ -81,7 +81,9 @@ TEST_F(ServeTest, SubmitBitIdenticalToEncodeOneAcrossThreadCounts) {
     EmbeddingService service(&Model(), options);
 
     // Four clients submit disjoint slices in shuffled order with jittered
-    // arrival times, so batches mix lengths and compositions every run.
+    // arrival times, so every run forms different batches: the dispatcher
+    // takes the oldest requests whatever their lengths, and the packed
+    // encoder runs each row only over its own tokens.
     constexpr size_t kClients = 4;
     std::vector<std::vector<std::pair<size_t, std::future<
         EmbeddingService::EncodeResult>>>> futures(kClients);
@@ -119,6 +121,52 @@ TEST_F(ServeTest, SubmitBitIdenticalToEncodeOneAcrossThreadCounts) {
     EXPECT_EQ(service.metrics().completed.value(),
               static_cast<int64_t>(Trips().size()));
     EXPECT_GE(service.metrics().flushes.value(), 1);
+  }
+}
+
+// Requests of different token lengths share one flush: with a window far
+// longer than the test, the dispatcher flushes exactly when max_batch
+// requests are queued, takes them all in one batch, and every vector still
+// equals the request encoded alone, bit for bit — fp32 and int8.
+TEST_F(ServeTest, MixedLengthsShareOneFlush) {
+  constexpr size_t kMaxBatch = 8;
+  std::vector<size_t> picks;
+  std::vector<size_t> lengths;
+  for (size_t i = 0; i < Trips().size() && picks.size() < kMaxBatch; ++i) {
+    const size_t len = Model().EncoderTokens(Trips()[i]).size();
+    if (std::find(lengths.begin(), lengths.end(), len) == lengths.end()) {
+      lengths.push_back(len);
+      picks.push_back(i);
+    }
+  }
+  ASSERT_EQ(picks.size(), kMaxBatch) << "too few distinct token lengths";
+
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "int8" : "fp32");
+    ServiceOptions options;
+    options.max_batch = kMaxBatch;
+    options.batch_window = std::chrono::seconds(60);
+    options.quantized = quantized;
+    EmbeddingService service(&Model(), options);
+    std::vector<std::future<EmbeddingService::EncodeResult>> futures;
+    for (const size_t i : picks) futures.push_back(service.Submit(Trips()[i]));
+    for (size_t k = 0; k < picks.size(); ++k) {
+      const traj::Trajectory& trip = Trips()[picks[k]];
+      std::vector<float> alone = Model().EncodeOne(trip);
+      if (quantized) {
+        const nn::Matrix m = Model().EncodeQuantized({trip});
+        alone.assign(m.Row(0), m.Row(0) + m.cols());
+      }
+      EmbeddingService::EncodeResult result = futures[k].get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(BitIdentical(result.value(), alone))
+          << "trajectory " << picks[k];
+    }
+    service.Shutdown();
+    EXPECT_EQ(service.metrics().flushes.value(), 1);
+    EXPECT_EQ(service.metrics().batch_size.count(), 1);
+    EXPECT_EQ(service.metrics().batch_size.sum(),
+              static_cast<double>(kMaxBatch));
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -345,6 +346,41 @@ TEST(SimdDispatchTest, AttentionForwardBitIdenticalAcrossTiersAndThreads) {
   }
 }
 
+// The padded reference for EncoderDecoder::EncodeBatch: every row padded to
+// the longest length with kPadToken, the masked training forward
+// (Gru::Forward), the top layer's final state per row, and the zero vector
+// for an empty sequence.
+Matrix PaddedMaskedEncode(const core::EncoderDecoder& model,
+                          const std::vector<traj::TokenSeq>& seqs) {
+  const size_t n = seqs.size();
+  size_t max_len = 0;
+  for (const traj::TokenSeq& s : seqs) max_len = std::max(max_len, s.size());
+  std::vector<Matrix> xs(max_len);
+  std::vector<std::vector<float>> masks(max_len, std::vector<float>(n, 0.0f));
+  for (size_t t = 0; t < max_len; ++t) {
+    std::vector<geo::Token> ids(n, geo::kPadToken);
+    for (size_t b = 0; b < n; ++b) {
+      if (t < seqs[b].size()) {
+        ids[b] = seqs[b][t];
+        masks[t][b] = 1.0f;
+      }
+    }
+    model.embedding().Forward(ids, &xs[t]);
+  }
+  Gru::ForwardResult result;
+  model.encoder().Forward(xs, nullptr, masks, &result);
+  Matrix out = result.final_state.h.back();
+  for (size_t b = 0; b < n; ++b) {
+    if (seqs[b].empty()) std::fill(out.Row(b), out.Row(b) + out.cols(), 0.0f);
+  }
+  return out;
+}
+
+// The packed inference pass (rows longest first, step t over only the rows
+// longer than t) must reproduce the padded, masked training forward word for
+// word on ragged lengths — empty, length 1, ties, and more than 8 rows so the
+// GEMM micro-tile steps down 8 -> 4 -> 2 -> 1 as rows finish — on both
+// tiers, fused and unfused, at every thread count.
 TEST(SimdDispatchTest, EncodeBatchBitIdenticalAcrossTiersAndThreads) {
   if (!HaveAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   Rng rng(25);
@@ -355,24 +391,49 @@ TEST(SimdDispatchTest, EncodeBatchBitIdenticalAcrossTiersAndThreads) {
   const geo::Token vocab_size = 40;
   const core::EncoderDecoder model(config, vocab_size, rng);
 
+  const std::vector<size_t> lengths = {7, 0, 1,  12, 5, 5, 3, 1, 9, 5,
+                                       0, 2, 12, 4,  6, 1, 8, 11, 10};
   std::vector<traj::TokenSeq> seqs;
   Rng token_rng(26);
-  for (size_t i = 0; i < 9; ++i) {
-    traj::TokenSeq seq(3 + i % 4);
+  for (const size_t len : lengths) {
+    traj::TokenSeq seq(len);
     for (auto& tok : seq) {
       tok = static_cast<geo::Token>(4 + token_rng.UniformInt(36));
     }
     seqs.push_back(seq);
   }
 
+  const std::vector<Matrix> ref = RunUnder(SimdTier::kScalar, 1, [&] {
+    return std::vector<Matrix>{PaddedMaskedEncode(model, seqs)};
+  });
   auto run = [&] { return std::vector<Matrix>{model.EncodeBatch(seqs)}; };
-
-  const std::vector<Matrix> ref = RunUnder(SimdTier::kScalar, 1, run);
-  for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
-    for (int threads : {1, 2, 8}) {
-      const std::vector<Matrix> got = RunUnder(tier, threads, run);
-      ExpectBitIdentical(ref[0], got[0], "EncodeBatch");
+  for (const bool fused : {true, false}) {
+    SetFusedKernels(fused);
+    for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+      for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE("fused=" + std::to_string(fused) + " tier=" +
+                     std::to_string(static_cast<int>(tier)) +
+                     " threads=" + std::to_string(threads));
+        const std::vector<Matrix> got = RunUnder(tier, threads, run);
+        ExpectBitIdentical(ref[0], got[0], "EncodeBatch");
+      }
     }
+  }
+  SetFusedKernels(true);
+
+  // Batch composition: row i of a shuffled batch is row perm[i] of the
+  // original, bit for bit.
+  std::vector<size_t> perm(seqs.size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = (i * 7 + 3) % perm.size();
+  std::vector<traj::TokenSeq> shuffled;
+  for (const size_t p : perm) shuffled.push_back(seqs[p]);
+  const Matrix original = model.EncodeBatch(seqs);
+  const Matrix permuted = model.EncodeBatch(shuffled);
+  for (size_t i = 0; i < perm.size(); ++i) {
+    EXPECT_EQ(std::memcmp(permuted.Row(i), original.Row(perm[i]),
+                          original.cols() * sizeof(float)),
+              0)
+        << "shuffled row " << i << " vs original row " << perm[i];
   }
 }
 
